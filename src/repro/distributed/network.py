@@ -1,4 +1,4 @@
-"""A deterministic simulated network.
+"""A deterministic simulated network and the world clock's timers.
 
 Message passing for the distributed substrate (architecture (b)):
 every send is enqueued with a delivery time = now + one-way latency,
@@ -6,13 +6,21 @@ and the cluster advances simulated time step by step, delivering due
 messages to registered node handlers.  Partitions drop messages in
 either direction.  Everything is seeded and single-threaded, so Raft
 elections and 2PC outcomes are reproducible bit-for-bit.
+
+Timers are event-driven.  Each timer owner (a Raft node) registers once
+and gets an order index; whenever its next deadline moves earlier it
+pushes a ``(due_us, order)`` entry onto one world-wide deadline heap.
+After every delivery hop the network pops the entries that are due and
+calls ``tick()`` on exactly those owners, in registration order, so a
+timer fires at the first hop at or after its deadline without polling
+the nodes that have nothing to do.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable
 
 from ..common.cost import CostModel
@@ -22,27 +30,32 @@ Handler = Callable[[str, Any], None]
 """(source node id, message) -> None."""
 
 
-@dataclass(order=True)
-class _Envelope:
-    deliver_at_us: float
-    seq: int
-    src: str = field(compare=False)
-    dst: str = field(compare=False)
-    message: Any = field(compare=False)
-    sent_at_us: float = field(compare=False, default=0.0)
-
-
 class SimNetwork:
-    """Priority-queue message bus over the shared simulated clock."""
+    """Priority-queue message bus over the shared simulated clock,
+    plus the world's deadline heap for node timers."""
+
+    #: A single simulated-time hop larger than this means the *whole
+    #: world* was suspended (a long local computation advanced the cost
+    #: clock), not that a leader went silent — timers are re-armed
+    #: instead of firing, like clock-jump guards in real systems.
+    _SUSPEND_GUARD_US = 1_000.0
 
     def __init__(self, cost: CostModel | None = None):
         self._cost = cost or CostModel()
         self._handlers: dict[str, Handler] = {}
-        self._queue: list[_Envelope] = []
+        # (deliver_at_us, seq, src, dst, message, sent_at_us); seq is
+        # unique, so heap comparisons never reach the payload.
+        self._queue: list[tuple[float, int, str, str, Any, float]] = []
         self._seq = itertools.count()
         self._cut: set[frozenset[str]] = set()
         self._down: set[str] = set()
-        self._tickers: list[Callable[[], None]] = []
+        # Timers, indexed by registration order: the owner (None once
+        # retired), when it registered, and its earliest heap entry.
+        self._timers: list[tuple[float, int]] = []
+        self._timer_owners: list[Any] = []
+        self._timer_born_us: list[float] = []
+        self._armed_at: list[float] = []
+        self._last_hop_us = self._cost.now_us()
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -52,21 +65,74 @@ class SimNetwork:
         self._m_dropped = registry.counter("network.dropped")
         self._link_hists: dict[tuple[str, str], Histogram] = {}
 
-    def add_ticker(self, ticker: Callable[[], None]) -> None:
-        """Register a callback run after every delivery hop in
-        :meth:`advance` — how Raft groups drive their timeouts in step
-        with the whole simulated world, not just their own activity."""
-        self._tickers.append(ticker)
+    # ------------------------------------------------------------- timers
 
-    def remove_ticker(self, ticker: Callable[[], None]) -> None:
-        """Forget a ticker (a retired Raft group stops driving time).
-        Idempotent: retiring twice is a no-op."""
-        if ticker in self._tickers:
-            self._tickers.remove(ticker)
+    def add_timer(self, owner: Any) -> int:
+        """Register a timer owner; returns its order index.  Owners
+        that are due at the same hop fire in registration order.
 
-    def _run_tickers(self) -> None:
-        for ticker in self._tickers:
-            ticker()
+        An owner provides ``next_due_us()`` (``math.inf`` for never),
+        ``tick()`` (fire if due, else a no-op) and ``suspend_rearm(now)``,
+        and calls :meth:`arm` whenever its next due time changes.
+        """
+        self._timer_owners.append(owner)
+        self._timer_born_us.append(self._cost.now_us())
+        self._armed_at.append(math.inf)
+        order = len(self._timer_owners) - 1
+        self.arm(order, owner.next_due_us())
+        return order
+
+    def arm(self, order: int, due_us: float) -> None:
+        """Timer ``order`` is next due at ``due_us``.  Pushes an entry
+        only when that is earlier than the one it already has; a later
+        deadline is picked up when the earlier entry pops."""
+        if due_us < self._armed_at[order]:
+            self._armed_at[order] = due_us
+            heapq.heappush(self._timers, (due_us, order))
+
+    def retire_timer(self, order: int) -> None:
+        """Forget a timer owner for good: it never fires again.
+        Idempotent; its leftover heap entries are dropped as they pop."""
+        self._timer_owners[order] = None
+
+    def _fire_timers(self) -> None:
+        """One hop of the world clock: fire every due timer once.
+
+        If the clock jumped more than :attr:`_SUSPEND_GUARD_US` since
+        an owner last saw it (the previous hop, or its registration if
+        that came later), the owner is re-armed instead and does not
+        fire on this hop.
+        """
+        now = self._cost.now_us()
+        since = self._last_hop_us
+        self._last_hop_us = now
+        timers = self._timers
+        suspended = now - since > self._SUSPEND_GUARD_US
+        if not suspended and (not timers or timers[0][0] > now):
+            return
+        armed_at = self._armed_at
+        owners = self._timer_owners
+        popped: set[int] = set()
+        while timers and timers[0][0] <= now:
+            at, order = heapq.heappop(timers)
+            if at == armed_at[order]:
+                armed_at[order] = math.inf
+            popped.add(order)
+        rearmed: set[int] = set()
+        if suspended:
+            guard = self._SUSPEND_GUARD_US
+            born_us = self._timer_born_us
+            for order, owner in enumerate(owners):
+                if owner is not None and now - max(born_us[order], since) > guard:
+                    owner.suspend_rearm(now)
+                    rearmed.add(order)
+        for order in sorted(popped):
+            owner = owners[order]
+            if owner is None:
+                continue
+            if order not in rearmed and owner.next_due_us() <= now:
+                owner.tick()
+            self.arm(order, owner.next_due_us())
 
     # ------------------------------------------------------------- topology
 
@@ -120,10 +186,9 @@ class SimNetwork:
         self.sent += 1
         self._m_sent.inc()
         now = self._cost.now_us()
-        deliver_at = now + self._cost.network_oneway_us
         heapq.heappush(
             self._queue,
-            _Envelope(deliver_at, next(self._seq), src, dst, message, sent_at_us=now),
+            (now + self._cost.network_oneway_us, next(self._seq), src, dst, message, now),
         )
 
     def broadcast(self, src: str, dsts: list[str], message: Any) -> None:
@@ -136,29 +201,31 @@ class SimNetwork:
         return len(self._queue)
 
     def next_delivery_us(self) -> float | None:
-        return self._queue[0].deliver_at_us if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def deliver_due(self) -> int:
         """Deliver every message whose time has come; returns the count."""
         count = 0
-        now = self._cost.now_us()
-        while self._queue and self._queue[0].deliver_at_us <= now:
-            env = heapq.heappop(self._queue)
-            if not self._link_ok(env.src, env.dst):
+        queue = self._queue
+        now_us = self._cost.clock.now_us
+        now = now_us()
+        while queue and queue[0][0] <= now:
+            _at, _seq, src, dst, message, sent_at_us = heapq.heappop(queue)
+            if (self._down or self._cut) and not self._link_ok(src, dst):
                 self.dropped += 1
                 self._m_dropped.inc()
                 continue
-            handler = self._handlers.get(env.dst)
+            handler = self._handlers.get(dst)
             if handler is None:
                 self.dropped += 1
                 self._m_dropped.inc()
                 continue
-            handler(env.src, env.message)
+            handler(src, message)
             self.delivered += 1
             self._m_delivered.inc()
-            self._link_latency(env.src, env.dst).observe(
-                self._cost.now_us() - env.sent_at_us
-            )
+            # Handlers may charge the clock (learner replay does), so
+            # the latency is read after each one.
+            self._link_latency(src, dst).observe(now_us() - sent_at_us)
             count += 1
         return count
 
@@ -175,21 +242,21 @@ class SimNetwork:
         """Advance simulated time by ``delta_us``, delivering en route.
 
         Time moves in hops to each delivery instant so that handlers
-        observing ``now_us()`` see causally consistent clocks.
+        observing ``now_us()`` see causally consistent clocks; due
+        timers fire after each hop's deliveries.
         """
-        target = self._cost.now_us() + delta_us
+        clock = self._cost.clock
+        target = clock.now_us() + delta_us
         delivered = 0
-        while True:
-            nxt = self.next_delivery_us()
-            if nxt is None or nxt > target:
-                break
-            self._cost.clock.advance(max(0.0, nxt - self._cost.now_us()))
+        queue = self._queue
+        while queue and queue[0][0] <= target:
+            clock.advance(max(0.0, queue[0][0] - clock.now_us()))
             delivered += self.deliver_due()
-            self._run_tickers()
-        remaining = target - self._cost.now_us()
+            self._fire_timers()
+        remaining = target - clock.now_us()
         if remaining > 0:
-            self._cost.clock.advance(remaining)
-        self._run_tickers()
+            clock.advance(remaining)
+        self._fire_timers()
         return delivered
 
     def run_until_quiet(self, max_us: float = 10_000_000.0) -> None:

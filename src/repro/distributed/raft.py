@@ -10,13 +10,17 @@ in Table 1.
 
 The implementation covers leader election with randomized timeouts,
 log replication with consistency checks and conflict rollback, commit
-on majority match, and apply callbacks per node.  It is tick-driven
-over the deterministic :class:`~repro.distributed.network.SimNetwork`.
+on majority match, and apply callbacks per node.  Timeouts are
+event-driven: each node registers its timer with the deterministic
+:class:`~repro.distributed.network.SimNetwork`, re-arms it whenever a
+deadline or its role changes, and :meth:`RaftNode.tick` runs only when
+the world clock reaches that deadline.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -135,7 +139,6 @@ class RaftNode:
         self._match_index: dict[str, int] = {}
         self._election_deadline_us = self._new_election_deadline()
         self._heartbeat_due_us = 0.0
-        self._last_tick_us = cost.now_us()
 
         registry = get_registry()
         self._m_elections = registry.counter("raft.elections")
@@ -143,6 +146,7 @@ class RaftNode:
         self._m_replication_lag = registry.histogram("raft.replication_lag")
 
         network.register(node_id, self._on_message)
+        self._timer = network.add_timer(self)
 
     # ------------------------------------------------------------- helpers
 
@@ -151,6 +155,21 @@ class RaftNode:
             _PREFERRED_TIMEOUT_RANGE_US if self.preferred else _ELECTION_TIMEOUT_RANGE_US
         )
         return self._cost.now_us() + self._rng.uniform(lo, hi)
+
+    def next_due_us(self) -> float:
+        """When this node's timer is next due: the heartbeat for a
+        leader, the election timeout for a follower or candidate, and
+        never for a learner."""
+        role = self.role
+        if role is Role.LEADER:
+            return self._heartbeat_due_us
+        if role is Role.LEARNER:
+            return math.inf
+        return self._election_deadline_us
+
+    def _arm(self) -> None:
+        """Tell the world clock about a changed deadline or role."""
+        self._network.arm(self._timer, self.next_due_us())
 
     def last_log_index(self) -> int:
         return len(self.log) - 1
@@ -170,31 +189,32 @@ class RaftNode:
     def is_leader(self) -> bool:
         return self.role is Role.LEADER
 
-    # ------------------------------------------------------------- tick
-
-    #: A single simulated-time hop larger than this means the *whole
-    #: world* was suspended (a long local computation advanced the cost
-    #: clock), not that the leader went silent — re-arm timers instead
-    #: of starting elections, like clock-jump guards in real systems.
-    _SUSPEND_GUARD_US = 1_000.0
+    # ------------------------------------------------------------- timers
 
     def tick(self) -> None:
-        """Drive timeouts; the group calls this after advancing time."""
+        """Fire this node's timer if it is due: a leader heartbeats, a
+        follower or candidate starts an election.  The world clock calls
+        it at the first hop at or after :meth:`next_due_us`; anywhere
+        else (and always on a learner) it is a no-op."""
+        role = self.role
+        if role is Role.LEARNER:
+            return
         now = self._cost.now_us()
-        jump = now - self._last_tick_us
-        self._last_tick_us = now
-        if self.role is Role.LEARNER:
-            return
-        if jump > self._SUSPEND_GUARD_US:
-            self._election_deadline_us = self._new_election_deadline()
-            if self.role is Role.LEADER:
-                self._heartbeat_due_us = now  # catch followers up now
-            return
-        if self.role is Role.LEADER:
+        if role is Role.LEADER:
             if now >= self._heartbeat_due_us:
                 self._send_heartbeats()
         elif now >= self._election_deadline_us:
             self._start_election()
+
+    def suspend_rearm(self, now_us: float) -> None:
+        """The whole world was suspended: restart the election timeout
+        and, on a leader, catch followers up at the next hop."""
+        if self.role is Role.LEARNER:
+            return
+        self._election_deadline_us = self._new_election_deadline()
+        if self.role is Role.LEADER:
+            self._heartbeat_due_us = now_us
+        self._arm()
 
     def _start_election(self) -> None:
         self._m_elections.inc()
@@ -204,6 +224,7 @@ class RaftNode:
         self._votes_received = {self.node_id}
         self.leader_id = None
         self._election_deadline_us = self._new_election_deadline()
+        self._arm()
         message = RequestVote(
             term=self.current_term,
             candidate_id=self.node_id,
@@ -257,6 +278,7 @@ class RaftNode:
     def _send_heartbeats(self) -> None:
         self._m_heartbeats.inc()
         self._heartbeat_due_us = self._cost.now_us() + _HEARTBEAT_INTERVAL_US
+        self._arm()
         for peer in self._replication_targets():
             self._send_append(peer)
 
@@ -280,16 +302,10 @@ class RaftNode:
     # ------------------------------------------------------------- handlers
 
     def _on_message(self, src: str, message: Any) -> None:
-        if isinstance(message, RequestVote):
-            self._on_request_vote(src, message)
-        elif isinstance(message, RequestVoteReply):
-            self._on_vote_reply(src, message)
-        elif isinstance(message, AppendEntries):
-            self._on_append_entries(src, message)
-        elif isinstance(message, AppendEntriesReply):
-            self._on_append_reply(src, message)
-        else:
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
             raise ConsensusError(f"unknown raft message {message!r}")
+        handler(self, src, message)
 
     def _maybe_step_down(self, term: int) -> None:
         if term > self.current_term:
@@ -297,6 +313,7 @@ class RaftNode:
             self.voted_for = None
             if self.role is not Role.LEARNER:
                 self.role = Role.FOLLOWER
+                self._arm()
 
     def _on_request_vote(self, src: str, msg: RequestVote) -> None:
         self._maybe_step_down(msg.term)
@@ -310,6 +327,7 @@ class RaftNode:
                 grant = True
                 self.voted_for = msg.candidate_id
                 self._election_deadline_us = self._new_election_deadline()
+                self._arm()
         self._network.send(
             self.node_id, src, RequestVoteReply(term=self.current_term, granted=grant)
         )
@@ -332,11 +350,14 @@ class RaftNode:
                 AppendEntriesReply(self.current_term, False, 0),
             )
             return
-        # A valid leader exists: reset election pressure.
+        # A valid leader exists: reset election pressure.  A learner
+        # never stands for election, so it keeps no timeout.
         self.leader_id = msg.leader_id
         if self.role is Role.CANDIDATE:
             self.role = Role.FOLLOWER
-        self._election_deadline_us = self._new_election_deadline()
+        if self.role is not Role.LEARNER:
+            self._election_deadline_us = self._new_election_deadline()
+            self._arm()
         # Log consistency check.
         if msg.prev_log_index >= len(self.log) or (
             self.log[msg.prev_log_index].term != msg.prev_log_term
@@ -420,6 +441,13 @@ class RaftNode:
             if self._apply_fn is not None and entry.command is not None:
                 self._apply_fn(self.last_applied, entry.command)
 
+    _HANDLERS: dict[type, Callable[["RaftNode", str, Any], None]] = {
+        RequestVote: _on_request_vote,
+        RequestVoteReply: _on_vote_reply,
+        AppendEntries: _on_append_entries,
+        AppendEntriesReply: _on_append_reply,
+    }
+
 
 class RaftGroup:
     """A convenience wrapper: builds the nodes and drives the simulation."""
@@ -454,22 +482,17 @@ class RaftGroup:
                 preferred=(node_id == preferred_leader),
                 apply_batch_fn=apply_batch_fns.get(node_id),
             )
-        network.add_ticker(self._tick_all)
-
-    def _tick_all(self) -> None:
-        for node in self.nodes.values():
-            node.tick()
 
     def shutdown(self) -> None:
         """Retire the group: deregister every replica from the network
-        and stop driving timeouts.  Used when resharding merges a shard
-        away — the group's log is dead weight once the map epoch flips."""
-        for node_id in self.nodes:
+        and stop its timers.  Used when resharding merges a shard away
+        — the group's log is dead weight once the map epoch flips."""
+        for node_id, node in self.nodes.items():
             self.network.unregister(node_id)
-        self.network.remove_ticker(self._tick_all)
+            self.network.retire_timer(node._timer)
 
     def advance(self, delta_us: float) -> None:
-        """Advance the shared world clock (ticks every registered group)."""
+        """Advance the shared world clock (fires every group's due timers)."""
         self.network.advance(delta_us)
 
     def run_for(self, total_us: float, step_us: float = 100.0) -> None:
